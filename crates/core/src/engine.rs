@@ -60,7 +60,7 @@ use crate::trace_cache::{CpuTraceCache, TraceCache};
 /// configurations consume the trace.
 #[derive(Debug)]
 pub struct StudySession {
-    jobs: AtomicUsize,
+    jobs: usize,
     cache: TraceCache,
     cpu_cache: CpuTraceCache,
     store: Option<Arc<TraceStore>>,
@@ -81,7 +81,7 @@ impl StudySession {
     #[must_use = "builds a session without running anything"]
     pub fn new(jobs: usize) -> StudySession {
         StudySession {
-            jobs: AtomicUsize::new(jobs.max(1)),
+            jobs: jobs.max(1),
             cache: TraceCache::new(),
             cpu_cache: CpuTraceCache::new(),
             store: None,
@@ -95,33 +95,19 @@ impl StudySession {
         StudySession::new(1)
     }
 
-    /// The worker-pool width.
+    /// The worker-pool width, fixed at construction.
     pub fn jobs(&self) -> usize {
-        self.jobs.load(Ordering::Relaxed)
-    }
-
-    /// Adjusts the worker-pool width for subsequent [`run_indexed`]
-    /// calls (clamped to at least 1). Results are byte-identical at any
-    /// width, so a long-running session — the `repro serve` daemon —
-    /// can apply a per-request `jobs` hint without forking state; a
-    /// sweep already in flight keeps the width it started with.
-    ///
-    /// [`run_indexed`]: StudySession::run_indexed
-    pub fn set_jobs(&self, jobs: usize) {
-        self.jobs.store(jobs.max(1), Ordering::Relaxed);
+        self.jobs
     }
 
     /// Sets the *intra-replay* worker count (`0` = auto, one per CPU)
     /// for subsequent replays, forwarding to [`simt::set_sim_threads`].
     ///
-    /// Like [`set_jobs`], a pure wall-clock knob: the sharded replay
-    /// engine is byte-identical at every width, so it is excluded from
-    /// study keys and safe to flip between (or even during) requests.
-    /// The setting is process-global — `simt` owns it — so concurrent
-    /// sessions share it; replays already in flight keep the width they
-    /// started with.
-    ///
-    /// [`set_jobs`]: StudySession::set_jobs
+    /// Like `jobs`, a pure wall-clock knob: the sharded replay engine
+    /// is byte-identical at every width, so it is excluded from study
+    /// keys. The setting is process-global — `simt` owns it — so
+    /// concurrent sessions share it; replays already in flight keep the
+    /// width they started with.
     pub fn set_sim_threads(&self, n: usize) {
         simt::set_sim_threads(n);
     }
@@ -252,16 +238,5 @@ mod tests {
     fn default_session_uses_available_parallelism() {
         let session = StudySession::default();
         assert!(session.jobs() >= 1);
-    }
-
-    #[test]
-    fn jobs_width_is_adjustable_and_clamped() {
-        let session = StudySession::new(4);
-        session.set_jobs(7);
-        assert_eq!(session.jobs(), 7);
-        session.set_jobs(0);
-        assert_eq!(session.jobs(), 1, "zero clamps to one");
-        let out = session.run_indexed(8, Ok).expect("runs");
-        assert_eq!(out, (0..8).collect::<Vec<_>>());
     }
 }

@@ -65,8 +65,8 @@ impl ExperimentId {
 
     /// Parses a CLI/API artifact name (`"fig1"`, `"table3"`, `"pb"`,
     /// case-insensitive) into its id. This is the single name table
-    /// shared by the `repro` argument parser and the `repro serve`
-    /// JSON decoder; [`ExperimentId::name`] is its inverse.
+    /// behind the `repro` argument parser; [`ExperimentId::name`] is
+    /// its inverse.
     pub fn parse(name: &str) -> Option<ExperimentId> {
         use ExperimentId::*;
         Some(match name.to_ascii_lowercase().as_str() {

@@ -56,7 +56,6 @@ pub mod manifest;
 pub mod report;
 pub mod request;
 pub mod sensitivity;
-pub mod serve;
 pub mod suite;
 pub mod trace_cache;
 

@@ -74,8 +74,8 @@ pub const AUDIT_FILE: &str = "AUDIT_manifest.json";
 ///
 /// This is the single schema-version registry: every `*_manifest.json`
 /// writer in the workspace — the run manifest built by
-/// [`ManifestBuilder`], the deterministic study manifest served by
-/// `repro serve` and written next to the store, and the critical-path
+/// [`ManifestBuilder`], the deterministic study manifest written next
+/// to the store, the audit manifest, and the critical-path
 /// manifest of `repro analyze` — goes through [`write_manifest`] with
 /// one of these kinds, so the schema tag, the file name, and the atomic
 /// write discipline can never drift apart per emitter.
@@ -85,7 +85,7 @@ pub enum ManifestKind {
     /// tables plus kernel stats, sections, and telemetry.
     Bench,
     /// `STUDY_manifest.json` (`rodinia-repro.study/v1`): pure tables,
-    /// byte-deterministic; the crash-recovery and serve responses.
+    /// byte-deterministic; what crash recovery and the goldens compare.
     Study,
     /// `CRITPATH_manifest.json` (`rodinia-repro.critpath/v1`):
     /// critical-path attribution, byte-deterministic.

@@ -1,35 +1,17 @@
-//! The unified typed request API: one [`StudyRequest`] →
-//! [`StudyResponse`] pipeline behind every front end.
+//! The typed request API: one [`StudyRequest`] → [`StudyResponse`]
+//! pipeline behind the `repro` CLI.
 //!
-//! Both the `repro` CLI argument parser and the `repro serve` JSON
-//! decoder lower into a [`StudyRequest`]; [`execute`] is the single
-//! implementation of "run a study" — journal restore, corpus
-//! profiling, per-experiment checkpointing, and the deterministic
-//! study-manifest write all live here, so a request is answered
-//! byte-identically no matter which front end carried it.
+//! The CLI argument parser lowers into a [`StudyRequest`]; [`execute`]
+//! is the single implementation of "run a study" — journal restore,
+//! corpus profiling, per-experiment checkpointing, and the
+//! deterministic study-manifest write all live here.
 //!
-//! The JSON grammar accepted by [`StudyRequest::from_json`] (the
-//! `POST /study` body of the daemon):
-//!
-//! ```text
-//! {
-//!   "command":     "tables" | "check" | "analyze",   // default "tables"
-//!   "artifacts":   "all" | ["fig1", "table3", ...],  // tables only
-//!   "scale":       "tiny" | "small" | "paper",       // default "small"
-//!   "jobs":        4,                                // optional hint
-//!   "sim_threads": 4,                                // optional hint
-//!   "top_k":       3                                 // analyze only
-//! }
-//! ```
-//!
-//! Unknown fields are rejected, as are `store`/`resume` — the daemon
-//! owns its store; durability is a deployment property of the session,
-//! not of one request. `jobs` and `sim_threads` are deliberately
-//! **not** part of [`StudyRequest::study_key`]: results are
-//! byte-identical at any worker width of either pool (`jobs`
-//! parallelizes across replays, `sim_threads` shards the SMs inside
-//! one — see `rodinia_study::engine`), so requests differing only in
-//! those hints are the same study and may coalesce.
+//! Worker widths are not part of a request: the caller sizes the
+//! [`StudySession`] it passes in. Results are byte-identical at any
+//! width of either pool (`jobs` parallelizes across replays,
+//! `sim_threads` shards the SMs inside one — see
+//! `rodinia_study::engine`), so neither enters
+//! [`StudyRequest::study_key`].
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -39,7 +21,7 @@ use datasets::Scale;
 use obs::Json;
 use store::{fnv1a64, Journal};
 
-use crate::analyze::{run_analyze, AnalyzeReport, DEFAULT_TOP_K};
+use crate::analyze::{run_analyze, AnalyzeReport};
 use crate::audit::{run_audit, AuditReport};
 use crate::check::{run_check, CheckReport};
 use crate::comparison::ComparisonStudy;
@@ -80,11 +62,6 @@ pub struct StudyRequest {
     pub command: StudyCommand,
     /// Input scale.
     pub scale: Scale,
-    /// Worker-pool width hint (`None` = keep the session's width).
-    pub jobs: Option<usize>,
-    /// Intra-replay shard-count hint (`None` = keep the current
-    /// setting; `0` = auto). Like `jobs`, a pure wall-clock knob.
-    pub sim_threads: Option<usize>,
     /// Persistent store directory the caller asked for, if any. Only
     /// meaningful on the CLI path; [`execute`] itself uses whatever
     /// store is attached to the session.
@@ -93,22 +70,15 @@ pub struct StudyRequest {
     pub resume: bool,
 }
 
-/// Request-level misuse: everything here exits with [`EXIT_MISUSE`] on
-/// the CLI and maps to HTTP 400 on the daemon.
+/// Request-level misuse: everything here exits with [`EXIT_MISUSE`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RequestError {
     /// `--resume` given without `--store`.
     ResumeWithoutStore,
     /// A tables request naming no artifacts.
     NoArtifacts,
-    /// An artifact name the registry does not know.
-    UnknownArtifact(String),
-    /// A scale token other than tiny/small/paper.
-    UnknownScale(String),
-    /// A JSON request field outside the grammar.
-    UnknownField(String),
-    /// Any other shape violation, with a fixed message.
-    Malformed(&'static str),
+    /// An analyze request with a zero bottleneck depth.
+    ZeroTopK,
 }
 
 impl std::fmt::Display for RequestError {
@@ -116,14 +86,7 @@ impl std::fmt::Display for RequestError {
         match self {
             RequestError::ResumeWithoutStore => write!(f, "--resume requires --store <dir>"),
             RequestError::NoArtifacts => write!(f, "no artifacts requested; try `repro list`"),
-            RequestError::UnknownArtifact(name) => {
-                write!(f, "unknown artifact {name:?}; try `repro list`")
-            }
-            RequestError::UnknownScale(s) => {
-                write!(f, "unknown scale {s:?}; expected tiny, small, or paper")
-            }
-            RequestError::UnknownField(k) => write!(f, "unknown request field {k:?}"),
-            RequestError::Malformed(msg) => write!(f, "{msg}"),
+            RequestError::ZeroTopK => write!(f, "top_k must be at least 1"),
         }
     }
 }
@@ -141,30 +104,19 @@ pub fn parse_scale(s: &str) -> Option<Scale> {
     }
 }
 
-fn as_count(v: &Json, msg: &'static str) -> Result<usize, RequestError> {
-    let n = v.as_f64().ok_or(RequestError::Malformed(msg))?;
-    if n < 0.0 || n.fract() != 0.0 || n > f64::from(u32::MAX) {
-        return Err(RequestError::Malformed(msg));
-    }
-    Ok(n as usize)
-}
-
 impl StudyRequest {
     /// A plain tables request with defaults everywhere else.
     pub fn tables(artifacts: Vec<ExperimentId>, scale: Scale) -> StudyRequest {
         StudyRequest {
             command: StudyCommand::Tables { artifacts },
             scale,
-            jobs: None,
-            sim_threads: None,
             store: None,
             resume: false,
         }
     }
 
     /// Checks cross-field invariants. Every violation is misuse
-    /// ([`EXIT_MISUSE`] / HTTP 400), shared verbatim by both front
-    /// ends so their diagnostics cannot drift apart.
+    /// ([`EXIT_MISUSE`]).
     ///
     /// # Errors
     ///
@@ -178,17 +130,15 @@ impl StudyRequest {
                 Err(RequestError::NoArtifacts)
             }
             StudyCommand::Analyze { top_k } if *top_k == 0 => {
-                Err(RequestError::Malformed("top_k must be at least 1"))
+                Err(RequestError::ZeroTopK)
             }
             _ => Ok(()),
         }
     }
 
     /// The canonical identity of this request: what the study journal
-    /// binds to and what the daemon coalesces identical in-flight
-    /// requests on. `jobs` and `sim_threads` are excluded — neither
-    /// worker width changes results — and so are `store`/`resume`,
-    /// which are durability deployment knobs, not study inputs.
+    /// binds to. `store`/`resume` are excluded — they are durability
+    /// knobs, not study inputs.
     pub fn study_key(&self) -> String {
         match &self.command {
             StudyCommand::Tables { artifacts } => format!(
@@ -201,130 +151,15 @@ impl StudyRequest {
             StudyCommand::Analyze { top_k } => format!("analyze/{:?}/k{top_k}", self.scale),
         }
     }
-
-    /// Decodes the `POST /study` JSON body (grammar in the module
-    /// docs). Strict: unknown fields are errors, and `store`/`resume`
-    /// are rejected explicitly — the daemon owns its store.
-    ///
-    /// # Errors
-    ///
-    /// [`RequestError`] describing the first violation encountered.
-    pub fn from_json(doc: &Json) -> Result<StudyRequest, RequestError> {
-        let pairs = doc
-            .as_obj()
-            .ok_or(RequestError::Malformed("request body must be a JSON object"))?;
-        let mut command: Option<&str> = None;
-        let mut artifacts: Option<Vec<ExperimentId>> = None;
-        let mut scale = Scale::Small;
-        let mut jobs: Option<usize> = None;
-        let mut sim_threads: Option<usize> = None;
-        let mut top_k: Option<usize> = None;
-        for (key, value) in pairs {
-            match key.as_str() {
-                "command" => {
-                    command = Some(value.as_str().ok_or(RequestError::Malformed(
-                        "\"command\" must be a string",
-                    ))?);
-                }
-                "scale" => {
-                    let s = value
-                        .as_str()
-                        .ok_or(RequestError::Malformed("\"scale\" must be a string"))?;
-                    scale = parse_scale(s)
-                        .ok_or_else(|| RequestError::UnknownScale(s.to_string()))?;
-                }
-                "artifacts" => {
-                    if value.as_str() == Some("all") {
-                        artifacts = Some(ExperimentId::all());
-                    } else {
-                        let arr = value.as_arr().ok_or(RequestError::Malformed(
-                            "\"artifacts\" must be \"all\" or an array of artifact names",
-                        ))?;
-                        let mut ids = Vec::with_capacity(arr.len());
-                        for v in arr {
-                            let name = v.as_str().ok_or(RequestError::Malformed(
-                                "\"artifacts\" entries must be strings",
-                            ))?;
-                            ids.push(
-                                ExperimentId::parse(name)
-                                    .ok_or_else(|| RequestError::UnknownArtifact(name.to_string()))?,
-                            );
-                        }
-                        artifacts = Some(ids);
-                    }
-                }
-                "jobs" => {
-                    jobs = Some(as_count(value, "\"jobs\" must be a non-negative integer")?);
-                }
-                "sim_threads" => {
-                    sim_threads = Some(as_count(
-                        value,
-                        "\"sim_threads\" must be a non-negative integer",
-                    )?);
-                }
-                "top_k" => {
-                    top_k = Some(as_count(value, "\"top_k\" must be a non-negative integer")?);
-                }
-                "store" | "resume" => {
-                    return Err(RequestError::Malformed(
-                        "the daemon owns the store; \"store\" and \"resume\" are not request fields",
-                    ))
-                }
-                other => return Err(RequestError::UnknownField(other.to_string())),
-            }
-        }
-        let command = match command.unwrap_or("tables") {
-            "tables" => StudyCommand::Tables {
-                artifacts: artifacts.ok_or(RequestError::Malformed(
-                    "tables requests need an \"artifacts\" field",
-                ))?,
-            },
-            other => {
-                if artifacts.is_some() {
-                    return Err(RequestError::Malformed(
-                        "\"artifacts\" only applies to tables requests",
-                    ));
-                }
-                match other {
-                    "check" => StudyCommand::Check,
-                    "audit" => StudyCommand::Audit,
-                    "analyze" => StudyCommand::Analyze {
-                        top_k: top_k.take().unwrap_or(DEFAULT_TOP_K),
-                    },
-                    _ => {
-                        return Err(RequestError::Malformed(
-                            "\"command\" must be \"tables\", \"check\", \"audit\", or \"analyze\"",
-                        ))
-                    }
-                }
-            }
-        };
-        if top_k.is_some() && !matches!(command, StudyCommand::Analyze { .. }) {
-            return Err(RequestError::Malformed(
-                "\"top_k\" only applies to analyze requests",
-            ));
-        }
-        Ok(StudyRequest {
-            command,
-            scale,
-            jobs,
-            sim_threads,
-            store: None,
-            resume: false,
-        })
-    }
 }
 
-/// What [`execute`] produced, carrying the typed reports so front ends
-/// can render them their own way while the machine-readable body stays
-/// shared.
+/// What [`execute`] produced, carrying the typed reports for the
+/// caller to render.
 #[derive(Debug)]
 pub enum StudyResponse {
     /// A tables run: every requested artifact with its rendered tables,
     /// in request order.
     Tables {
-        /// Scale the study ran at.
-        scale: Scale,
         /// `(artifact name, tables)` per completed experiment.
         completed: Vec<(String, Vec<Table>)>,
     },
@@ -337,28 +172,6 @@ pub enum StudyResponse {
 }
 
 impl StudyResponse {
-    /// The machine-readable response document. For tables this is
-    /// exactly [`manifest::study_manifest_json`] — the daemon's
-    /// response body and the CLI's `STUDY_manifest.json` are the same
-    /// bytes by construction.
-    pub fn body_json(&self) -> Json {
-        match self {
-            StudyResponse::Tables { scale, completed } => {
-                manifest::study_manifest_json(*scale, completed)
-            }
-            StudyResponse::Check(report) => report.to_json(),
-            StudyResponse::Audit(report) => report.to_json(),
-            StudyResponse::Analyze(report) => report.to_json(),
-        }
-    }
-
-    /// [`StudyResponse::body_json`] rendered with a trailing newline —
-    /// byte-identical to the file the corresponding manifest writer
-    /// produces.
-    pub fn body_bytes(&self) -> Vec<u8> {
-        format!("{}\n", self.body_json()).into_bytes()
-    }
-
     /// The CLI exit code this result maps to: nonzero only for a check
     /// or audit run with error-severity findings.
     pub fn exit_code(&self) -> i32 {
@@ -371,7 +184,7 @@ impl StudyResponse {
 }
 
 /// Progress callbacks during [`execute`]: the CLI prints tables and
-/// accumulates its run manifest here; the daemon stays [`Quiet`].
+/// accumulates its run manifest here; tests stay [`Quiet`].
 pub trait RequestObserver {
     /// A human-facing progress or warning line (CLI: stderr).
     fn note(&mut self, line: &str) {
@@ -385,15 +198,15 @@ pub trait RequestObserver {
     }
 }
 
-/// The no-op observer (used by the daemon).
+/// The no-op observer.
 #[derive(Debug, Default)]
 pub struct Quiet;
 
 impl RequestObserver for Quiet {}
 
 /// Embeds a check/audit verdict as a named section of the store's
-/// `STUDY_manifest.json`, so the serve daemon (which exposes the study
-/// manifest) surfaces sanitizer status alongside the tables.
+/// `STUDY_manifest.json`, so the study manifest carries sanitizer
+/// status alongside the tables.
 ///
 /// An existing manifest is updated in place — its experiments survive,
 /// only the named section is replaced — so a `check` after a tables
@@ -430,8 +243,7 @@ fn write_verdict_section(
     }
 }
 
-/// Runs a validated [`StudyRequest`] on `session` — the one
-/// implementation behind both front ends.
+/// Runs a validated [`StudyRequest`] on `session`.
 ///
 /// For tables requests this owns the full study lifecycle: the study
 /// journal is opened against [`StudyRequest::study_key`] (restoring
@@ -439,25 +251,17 @@ fn write_verdict_section(
 /// is profiled once if any requested artifact needs it, every freshly
 /// computed experiment is checkpointed, and — when the session has a
 /// store attached — the deterministic `STUDY_manifest.json` is written
-/// next to it. Per-request `jobs` / `sim_threads` hints resize the
-/// session's worker pool and the intra-replay shard count; results are
-/// byte-identical at any width of either.
+/// next to it.
 ///
 /// # Errors
 ///
 /// Any [`StudyError`] from the drivers; the caller decides how to
-/// render it (CLI: exit 1, daemon: HTTP 500).
+/// render it (the CLI exits 1).
 pub fn execute(
     session: &StudySession,
     req: &StudyRequest,
     observer: &mut dyn RequestObserver,
 ) -> Result<StudyResponse, StudyError> {
-    if let Some(n) = req.jobs {
-        session.set_jobs(n);
-    }
-    if let Some(n) = req.sim_threads {
-        session.set_sim_threads(n);
-    }
     let artifacts = match &req.command {
         StudyCommand::Check => {
             let report = run_check(session, req.scale)?;
@@ -557,19 +361,12 @@ pub fn execute(
             Err(e) => observer.note(&format!("store: {e}")),
         }
     }
-    Ok(StudyResponse::Tables {
-        scale: req.scale,
-        completed,
-    })
+    Ok(StudyResponse::Tables { completed })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn parse_req(body: &str) -> Result<StudyRequest, RequestError> {
-        StudyRequest::from_json(&Json::parse(body).expect("test body parses"))
-    }
 
     #[test]
     fn resume_without_store_is_misuse() {
@@ -590,18 +387,13 @@ mod tests {
     }
 
     #[test]
-    fn study_key_spells_artifacts_and_ignores_jobs() {
+    fn study_key_spells_artifacts_and_ignores_the_store() {
         let mut req =
             StudyRequest::tables(vec![ExperimentId::PlackettBurman, ExperimentId::Fig1], Scale::Tiny);
         assert_eq!(req.study_key(), "repro/Tiny/pb+fig1");
-        req.jobs = Some(8);
-        assert_eq!(req.study_key(), "repro/Tiny/pb+fig1", "jobs never changes identity");
-        req.sim_threads = Some(4);
-        assert_eq!(
-            req.study_key(),
-            "repro/Tiny/pb+fig1",
-            "sim_threads never changes identity"
-        );
+        req.store = Some(PathBuf::from("/tmp/store"));
+        req.resume = true;
+        assert_eq!(req.study_key(), "repro/Tiny/pb+fig1", "the store never changes identity");
         req.command = StudyCommand::Analyze { top_k: 5 };
         assert_eq!(req.study_key(), "analyze/Tiny/k5");
         req.command = StudyCommand::Check;
@@ -611,123 +403,19 @@ mod tests {
     }
 
     #[test]
-    fn json_grammar_round_trips_a_tables_request() {
-        let req =
-            parse_req(r#"{"artifacts":["fig1","pb"],"scale":"tiny","jobs":4,"sim_threads":2}"#)
-                .expect("valid request");
-        assert_eq!(
-            req.command,
-            StudyCommand::Tables {
-                artifacts: vec![ExperimentId::Fig1, ExperimentId::PlackettBurman]
-            }
-        );
-        assert_eq!(req.scale, Scale::Tiny);
-        assert_eq!(req.jobs, Some(4));
-        assert_eq!(req.sim_threads, Some(2));
-        assert!(!req.resume);
-        assert_eq!(req.validate(), Ok(()));
-
-        let all = parse_req(r#"{"artifacts":"all"}"#).expect("all");
-        assert_eq!(
-            all.command,
-            StudyCommand::Tables { artifacts: ExperimentId::all() }
-        );
-        assert_eq!(all.scale, Scale::Small, "scale defaults to small");
-    }
-
-    #[test]
-    fn json_grammar_covers_check_and_analyze() {
-        let check = parse_req(r#"{"command":"check","scale":"paper"}"#).expect("check");
-        assert_eq!(check.command, StudyCommand::Check);
-        assert_eq!(check.scale, Scale::Paper);
-        let analyze = parse_req(r#"{"command":"analyze","top_k":5}"#).expect("analyze");
-        assert_eq!(analyze.command, StudyCommand::Analyze { top_k: 5 });
-        let analyze = parse_req(r#"{"command":"analyze"}"#).expect("default top_k");
-        assert_eq!(analyze.command, StudyCommand::Analyze { top_k: DEFAULT_TOP_K });
-        let audit = parse_req(r#"{"command":"audit","scale":"tiny"}"#).expect("audit");
-        assert_eq!(audit.command, StudyCommand::Audit);
-        assert_eq!(audit.scale, Scale::Tiny);
-        assert!(matches!(
-            parse_req(r#"{"command":"audit","top_k":2}"#),
-            Err(RequestError::Malformed(m)) if m.contains("top_k")
-        ));
-    }
-
-    #[test]
-    fn json_grammar_is_strict() {
-        assert!(matches!(
-            parse_req(r#"{"artifacts":["fig99"]}"#),
-            Err(RequestError::UnknownArtifact(n)) if n == "fig99"
-        ));
-        assert!(matches!(
-            parse_req(r#"{"artifacts":["fig1"],"scale":"huge"}"#),
-            Err(RequestError::UnknownScale(_))
-        ));
-        assert!(matches!(
-            parse_req(r#"{"artifacts":["fig1"],"color":"red"}"#),
-            Err(RequestError::UnknownField(k)) if k == "color"
-        ));
-        assert!(matches!(
-            parse_req(r#"{"artifacts":["fig1"],"store":"/tmp/s"}"#),
-            Err(RequestError::Malformed(m)) if m.contains("daemon owns the store")
-        ));
-        assert!(matches!(
-            parse_req(r#"{"command":"check","artifacts":["fig1"]}"#),
-            Err(RequestError::Malformed(_))
-        ));
-        assert!(matches!(
-            parse_req(r#"{"artifacts":["fig1"],"top_k":2}"#),
-            Err(RequestError::Malformed(m)) if m.contains("top_k")
-        ));
-        assert!(matches!(
-            parse_req(r#"{"artifacts":["fig1"],"jobs":1.5}"#),
-            Err(RequestError::Malformed(_))
-        ));
-        assert!(matches!(
-            parse_req(r#"{"artifacts":["fig1"],"sim_threads":-1}"#),
-            Err(RequestError::Malformed(m)) if m.contains("sim_threads")
-        ));
-        assert!(matches!(parse_req("[]"), Err(RequestError::Malformed(_))));
-        assert!(matches!(parse_req("{}"), Err(RequestError::Malformed(_))));
-    }
-
-    #[test]
-    fn execute_tables_body_is_the_study_manifest() {
+    fn execute_tables_completes_artifacts_in_request_order() {
         let session = StudySession::sequential();
         let req = StudyRequest::tables(
-            vec![ExperimentId::Table1, ExperimentId::Table5],
+            vec![ExperimentId::Table5, ExperimentId::Table1],
             Scale::Tiny,
         );
         let resp = execute(&session, &req, &mut Quiet).expect("cheap tables run");
-        let body = resp.body_bytes();
-        let text = String::from_utf8(body.clone()).expect("utf-8");
-        assert!(text.ends_with('\n'));
-        let doc = Json::parse(&text).expect("parses");
-        assert_eq!(
-            doc.get("schema").and_then(Json::as_str),
-            Some(manifest::STUDY_SCHEMA)
-        );
-        // Byte-identical to what the manifest builder would serialize.
-        let StudyResponse::Tables { scale, completed } = &resp else {
+        let StudyResponse::Tables { completed } = &resp else {
             panic!("tables request returns a tables response");
         };
-        assert_eq!(
-            body,
-            format!("{}\n", manifest::study_manifest_json(*scale, completed)).into_bytes()
-        );
+        let ids: Vec<&str> = completed.iter().map(|(id, _)| id.as_str()).collect();
+        assert_eq!(ids, ["table5", "table1"]);
+        assert!(completed.iter().all(|(_, tables)| !tables.is_empty()));
         assert_eq!(resp.exit_code(), 0);
-    }
-
-    #[test]
-    fn execute_applies_the_jobs_and_sim_threads_hints() {
-        let session = StudySession::sequential();
-        let prev = session.sim_threads();
-        let mut req = StudyRequest::tables(vec![ExperimentId::Table2], Scale::Tiny);
-        req.jobs = Some(3);
-        req.sim_threads = Some(2);
-        execute(&session, &req, &mut Quiet).expect("runs");
-        assert_eq!(session.jobs(), 3);
-        assert_eq!(session.sim_threads(), 2);
-        session.set_sim_threads(prev);
     }
 }

@@ -8,7 +8,7 @@
 //! SM count, clocks, latencies, channel count, caches, or the scheduler
 //! policy. All paper configurations agree on those three parameters
 //! except the GTX 480 family (32 banks instead of 16), so one capture
-//! per `(benchmark, scale, variant)` serves the 8↔28-SM comparison, the
+//! per `(benchmark, scale, variant)` feeds the 8↔28-SM comparison, the
 //! channel sweep, and all twelve Plackett–Burman design points.
 //!
 //! [`TraceCache`] keys captures by [`TraceKey`] and guarantees
@@ -216,8 +216,8 @@ impl TraceCache {
     /// How many times this cache actually ran a capture (functional
     /// execution) — store restores and in-memory hits are excluded.
     /// Instance-scoped (unlike the global `store.*` registry counters)
-    /// so the `repro serve` `/stats` endpoint and the coalescing tests
-    /// can assert "zero new captures" without cross-test interference.
+    /// so tests and the study benchmark can assert "zero new captures"
+    /// without cross-test interference.
     pub fn captures(&self) -> u64 {
         self.captures.load(Ordering::Relaxed)
     }

@@ -79,12 +79,14 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] with a byte offset on malformed input or
-    /// trailing garbage.
+    /// Returns [`JsonError`] with a byte offset on malformed input,
+    /// trailing garbage, or arrays and objects nested deeper than
+    /// [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -212,9 +214,15 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so unbounded nesting in outside bytes would
+/// overflow the stack instead of returning an error.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -250,12 +258,24 @@ impl<'a> Parser<'a> {
             Some(b't') => self.eat("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.eat("false").map(|()| Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, JsonError>) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -479,6 +499,15 @@ mod tests {
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("{\"a\" 1}").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert_eq!(Json::parse(&deep).unwrap_err().msg, "nesting too deep");
+        assert!(Json::parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

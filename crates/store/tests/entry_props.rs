@@ -104,6 +104,20 @@ proptest! {
         }
     }
 
+    /// Arbitrary bytes, bare and behind a valid frame prefix, are a
+    /// typed `Corruption`, never a panic.
+    #[test]
+    fn arbitrary_bytes_are_a_typed_error(
+        bytes in proptest::collection::vec(0u8..=255, 0..256),
+    ) {
+        let key = "gpu/v1/SRAD/Tiny/w32b16s64";
+        prop_assert!(decode_entry(key, &bytes).is_err());
+        let mut framed = encode_entry(key, &[]);
+        framed.truncate(framed.len() / 2);
+        framed.extend_from_slice(&bytes);
+        let _ = decode_entry(key, &framed);
+    }
+
     /// FNV-1a distinguishes single-byte deltas (the checksum property
     /// the framing relies on).
     #[test]

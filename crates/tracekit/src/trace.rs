@@ -29,7 +29,7 @@ use crate::profile::{CpuWorkload, Profile, ProfileConfig, Profiler};
 /// footprints, event count) plus the packed reference trace.
 ///
 /// Captures are immutable once built; replaying takes `&self`, so one
-/// capture can serve many concurrent replays behind an `Arc`.
+/// capture can feed many concurrent replays behind an `Arc`.
 #[derive(Debug, Clone)]
 pub struct CpuCapture {
     base: Profile,

@@ -1,5 +1,5 @@
 //! `repro` — regenerate any table or figure of the paper from the
-//! command line, or serve studies as a daemon.
+//! command line.
 //!
 //! ```text
 //! repro list
@@ -7,15 +7,11 @@
 //! repro fig1  [tiny|small|paper] [--csv]
 //! repro fig6 fig10 small
 //! repro all tiny --jobs 4 --json out/ --telemetry out/telemetry.jsonl
-//! repro serve 127.0.0.1:7878 --store /var/rodinia-store
 //! ```
 //!
 //! Every subcommand lowers into one typed
 //! [`StudyRequest`] and runs through
-//! [`rodinia_repro::rodinia_study::request::execute`] — the same
-//! pipeline behind the `repro serve` daemon, so a served response body
-//! is byte-identical to the `STUDY_manifest.json` this CLI writes for
-//! the same request.
+//! [`rodinia_repro::rodinia_study::request::execute`].
 //!
 //! GPU-side artifacts run on a shared [`StudySession`]: each
 //! benchmark's warp trace is captured once into the session's trace
@@ -49,7 +45,6 @@
 //!   killed mid-sweep restarts from its last durable checkpoint and
 //!   produces a byte-identical `STUDY_manifest.json`.
 
-use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -62,7 +57,6 @@ use rodinia_repro::rodinia_study::report::Table;
 use rodinia_repro::rodinia_study::request::{
     execute, parse_scale, RequestObserver, StudyCommand, StudyRequest, StudyResponse, EXIT_MISUSE,
 };
-use rodinia_repro::rodinia_study::serve::{ServeConfig, Server};
 use rodinia_repro::store::TraceStore;
 
 fn emit(tables: &[Table], csv: bool) {
@@ -88,7 +82,6 @@ fn usage() {
     println!("       repro audit [tiny|small|paper] [--json <dir>] [--jobs N]");
     println!("       repro analyze [tiny|small|paper] [--json <dir>] [--jobs N]");
     println!("                     [--top-k N]");
-    println!("       repro serve <addr> [--store <dir>] [--jobs N] [--sim-threads N]");
     println!("flags: --jobs N  worker threads for GPU-side replay jobs");
     println!("                 (default: available parallelism; output is");
     println!("                 byte-identical for any N)");
@@ -116,10 +109,6 @@ fn usage() {
     println!("       would buy, plus a suite-wide bottleneck ranking; --json");
     println!("       writes a deterministic CRITPATH_manifest.json; --top-k N");
     println!("       bounds the per-benchmark chain depth (default 3)");
-    println!("serve: study daemon on <addr> — POST /study with a JSON request");
-    println!("       (see README) answers with the same bytes the CLI writes");
-    println!("       as STUDY_manifest.json; GET /healthz, GET /stats,");
-    println!("       POST /shutdown for graceful drain");
     println!("env:   RODINIA_OBS=1|2 prints telemetry events to stderr");
 }
 
@@ -272,94 +261,9 @@ impl RequestObserver for CliObserver<'_> {
     }
 }
 
-/// `repro serve <addr> [--store <dir>] [--jobs N] [--sim-threads N]`:
-/// run the daemon until a `POST /shutdown` drains it.
-fn serve_main(args: &[String]) -> i32 {
-    let mut addr: Option<String> = None;
-    let mut store: Option<PathBuf> = None;
-    let mut jobs: Option<usize> = None;
-    let mut sim_threads: Option<usize> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--store" => {
-                i += 1;
-                let Some(value) = args.get(i) else {
-                    eprintln!("--store requires a directory argument");
-                    return EXIT_MISUSE;
-                };
-                store = Some(PathBuf::from(value));
-            }
-            "--jobs" => {
-                i += 1;
-                let parsed = args.get(i).and_then(|v| v.parse::<usize>().ok());
-                let Some(n) = parsed else {
-                    eprintln!("--jobs requires a positive integer argument");
-                    return EXIT_MISUSE;
-                };
-                jobs = Some(n);
-            }
-            "--sim-threads" => {
-                i += 1;
-                let parsed = args.get(i).and_then(|v| v.parse::<usize>().ok());
-                let Some(n) = parsed else {
-                    eprintln!("--sim-threads requires a non-negative integer argument");
-                    return EXIT_MISUSE;
-                };
-                sim_threads = Some(n);
-            }
-            other if addr.is_none() && !other.starts_with('-') => {
-                addr = Some(other.to_string());
-            }
-            other => {
-                eprintln!("serve: unexpected argument {other:?}");
-                return EXIT_MISUSE;
-            }
-        }
-        i += 1;
-    }
-    let Some(addr) = addr else {
-        eprintln!("usage: repro serve <addr> [--store <dir>] [--jobs N] [--sim-threads N]");
-        return EXIT_MISUSE;
-    };
-    let server = match Server::bind(&ServeConfig { addr, store, jobs, sim_threads }) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("serve: {e}");
-            return 1;
-        }
-    };
-    if let Some(w) = server.store_warning() {
-        eprintln!("{w}");
-    }
-    match server.local_addr() {
-        Ok(a) => {
-            // Scripted clients (and the serve-smoke CI job) parse this
-            // line to learn the picked port, so it must hit the pipe
-            // before the accept loop starts.
-            println!("repro serve: listening on {a}");
-            let _ = std::io::stdout().flush();
-        }
-        Err(e) => {
-            eprintln!("serve: {e}");
-            return 1;
-        }
-    }
-    match server.run() {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("serve: {e}");
-            1
-        }
-    }
-}
-
 fn main() {
     obs::init_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("serve") {
-        std::process::exit(serve_main(&args[1..]));
-    }
     let mut csv = false;
     let mut scale = Scale::Small;
     let mut ids: Vec<ExperimentId> = Vec::new();
@@ -465,8 +369,6 @@ fn main() {
             StudyCommand::Tables { artifacts: ids }
         },
         scale,
-        jobs,
-        sim_threads,
         store: store_dir.clone(),
         resume,
     };
@@ -496,6 +398,9 @@ fn main() {
         Some(n) => StudySession::new(n),
         None => StudySession::default(),
     };
+    if let Some(n) = sim_threads {
+        session.set_sim_threads(n);
+    }
     // An unusable store (read-only dir, blocked journals/, ENOSPC, a
     // file in the way) costs one warning and the durability layer —
     // never the run.
