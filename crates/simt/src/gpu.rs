@@ -12,9 +12,10 @@
 //! beyond it (or all of them, on a single-core host) run inline on the
 //! coordinating thread. Execution alternates two phases:
 //!
-//! 1. **Epoch** `[start, end)` — every shard advances its SMs through
-//!    the window touching only shard-local state (warp scheduling,
-//!    compute latencies, L1/texture caches, barriers, retirement).
+//! 1. **Epoch** `[start, end)` — every shard advances each of its SMs
+//!    alone through the window, touching only SM-local state (warp
+//!    scheduling, compute latencies, L1/texture caches, barriers,
+//!    retirement).
 //!    Traffic for *shared* resources — the chip-wide L2, the DRAM
 //!    channels, the pending-CTA queue, the global live-warp count — is
 //!    appended to a per-shard event log instead of applied.
@@ -521,6 +522,9 @@ struct Engine<'a> {
     outs: Vec<Option<ShardOut>>,
     /// Barrier merge buffer, reused across epochs.
     merged: Vec<EvRec>,
+    /// Which shards have work in the current epoch, reused across
+    /// epochs.
+    active: Vec<bool>,
     /// Epoch length while the CTA queue is non-empty: also bounded by
     /// the CTA launch overhead, so deferred placements cannot become
     /// issuable inside the epoch that freed their resources.
@@ -584,6 +588,7 @@ impl<'a> Engine<'a> {
             shard_size,
             outs: (0..shards).map(|s| Some(ShardOut::new(s as u32, cfg))).collect(),
             merged: Vec::new(),
+            active: Vec::new(),
             epoch_queue,
             epoch_free,
         };
@@ -799,21 +804,18 @@ impl<'a> Engine<'a> {
     /// executor count can affect results.
     fn run_epoch(&mut self, start: u64, end: u64, pool: Option<&Pool<'a>>) {
         let cfg = self.cfg;
-        let active: Vec<bool> = self
-            .sm_shards
-            .iter()
-            .map(|sms| {
-                sms.iter().any(|sm| {
-                    let s = sm.summary.unwrap_or_else(|| fold_summary(&sm.sched));
-                    s.min_ready != u64::MAX && s.min_ready.max(sm.port_free_at) < end
-                })
+        self.active.clear();
+        self.active.extend(self.sm_shards.iter().map(|sms| {
+            sms.iter().any(|sm| {
+                let s = sm.summary.unwrap_or_else(|| fold_summary(&sm.sched));
+                s.min_ready != u64::MAX && s.min_ready.max(sm.port_free_at) < end
             })
-            .collect();
-        let n_active = active.iter().filter(|&&a| a).count();
+        }));
+        let n_active = self.active.iter().filter(|&&a| a).count();
         let pool = match pool {
             Some(p) if n_active > 1 => p,
             _ => {
-                for (j, act) in active.iter().enumerate() {
+                for (j, act) in self.active.iter().enumerate() {
                     if *act {
                         let out = self.outs[j].as_mut().expect("shard output in residence");
                         run_epoch_shard(&mut self.sm_shards[j], cfg, start, end, out);
@@ -827,7 +829,7 @@ impl<'a> Engine<'a> {
         // while this thread works through its own share below.
         let mut sent = 0;
         let mut dealt = 0;
-        for (j, act) in active.iter().enumerate() {
+        for (j, act) in self.active.iter().enumerate() {
             if !*act {
                 continue;
             }
@@ -844,7 +846,7 @@ impl<'a> Engine<'a> {
         }
         // Pass 2: this thread's own share, using the same deal order.
         let mut dealt = 0;
-        for (j, act) in active.iter().enumerate() {
+        for (j, act) in self.active.iter().enumerate() {
             if !*act {
                 continue;
             }
